@@ -7,7 +7,6 @@
 package hotstuff
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -39,73 +38,92 @@ type Block struct {
 var ErrBadBlock = errors.New("hotstuff: malformed block")
 
 // Encode serializes the block canonically (length-prefixed fields), so
-// hashes are stable across runtimes.
+// hashes are stable across runtimes. The output is sized exactly up
+// front: one allocation per block.
 func (b *Block) Encode() []byte {
-	var buf bytes.Buffer
-	var scratch [8]byte
-	putU64 := func(v uint64) {
-		binary.BigEndian.PutUint64(scratch[:], v)
-		buf.Write(scratch[:])
-	}
-	putU64(uint64(b.View))
-	buf.Write(b.Parent[:])
-	putU64(uint64(len(b.Cmds)))
+	size := 8 + len(b.Parent) + 8
 	for _, c := range b.Cmds {
-		putU64(c.ID)
-		putU64(uint64(len(c.Payload)))
-		buf.Write(c.Payload)
+		size += 16 + len(c.Payload)
 	}
-	return buf.Bytes()
+	buf := make([]byte, 0, size)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(b.View))
+	buf = append(buf, b.Parent[:]...)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(b.Cmds)))
+	for _, c := range b.Cmds {
+		buf = binary.BigEndian.AppendUint64(buf, c.ID)
+		buf = binary.BigEndian.AppendUint64(buf, uint64(len(c.Payload)))
+		buf = append(buf, c.Payload...)
+	}
+	return buf
 }
 
-// DecodeBlock parses an encoded block.
+// DecodeBlock parses an encoded block. Decoding is strict: truncated
+// input and trailing bytes are rejected, so a block that decodes
+// re-encodes to exactly data, and sha256(data) is its hash. All payloads
+// share one allocation, detached from data.
 func DecodeBlock(data []byte) (*Block, error) {
-	r := bytes.NewReader(data)
-	var scratch [8]byte
-	getU64 := func() (uint64, error) {
-		if _, err := r.Read(scratch[:]); err != nil {
-			return 0, fmt.Errorf("%w: %v", ErrBadBlock, err)
+	rest := data
+	getU64 := func(what string) (uint64, error) {
+		if len(rest) < 8 {
+			return 0, fmt.Errorf("%w: truncated %s", ErrBadBlock, what)
 		}
-		return binary.BigEndian.Uint64(scratch[:]), nil
+		v := binary.BigEndian.Uint64(rest)
+		rest = rest[8:]
+		return v, nil
 	}
-	view, err := getU64()
+	view, err := getU64("view")
 	if err != nil {
 		return nil, err
 	}
 	b := &Block{View: types.View(view)}
-	if _, err := r.Read(b.Parent[:]); err != nil {
-		return nil, fmt.Errorf("%w: parent: %v", ErrBadBlock, err)
+	if len(rest) < len(b.Parent) {
+		return nil, fmt.Errorf("%w: truncated parent", ErrBadBlock)
 	}
-	n, err := getU64()
+	rest = rest[copy(b.Parent[:], rest):]
+	n, err := getU64("command count")
 	if err != nil {
 		return nil, err
 	}
-	if n > 1<<20 {
+	// Every command takes at least 16 bytes, which bounds the count by
+	// the input before anything is allocated for it.
+	if n > 1<<20 || n > uint64(len(rest)/16) {
 		return nil, fmt.Errorf("%w: absurd command count %d", ErrBadBlock, n)
 	}
 	b.Cmds = make([]Command, 0, n)
+	total := 0
 	for i := uint64(0); i < n; i++ {
-		id, err := getU64()
+		id, err := getU64("command id")
 		if err != nil {
 			return nil, err
 		}
-		plen, err := getU64()
+		plen, err := getU64("payload length")
 		if err != nil {
 			return nil, err
 		}
 		if plen > 1<<24 {
 			return nil, fmt.Errorf("%w: absurd payload size %d", ErrBadBlock, plen)
 		}
-		payload := make([]byte, plen)
-		if plen > 0 {
-			if _, err := r.Read(payload); err != nil {
-				return nil, fmt.Errorf("%w: payload: %v", ErrBadBlock, err)
-			}
+		if uint64(len(rest)) < plen {
+			return nil, fmt.Errorf("%w: truncated payload", ErrBadBlock)
 		}
-		b.Cmds = append(b.Cmds, Command{ID: id, Payload: payload})
+		b.Cmds = append(b.Cmds, Command{ID: id, Payload: rest[:plen:plen]})
+		rest = rest[plen:]
+		total += int(plen)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", ErrBadBlock, len(rest))
+	}
+	payloads := make([]byte, 0, total)
+	for i := range b.Cmds {
+		p := b.Cmds[i].Payload
+		off := len(payloads)
+		payloads = append(payloads, p...)
+		b.Cmds[i].Payload = payloads[off:len(payloads):len(payloads)]
 	}
 	return b, nil
 }
 
-// HashOf returns the block's hash.
+// HashOf returns the block's hash. It encodes the block; callers that
+// already hold the hash (the key the block was found under) or the
+// encoding should use that instead.
 func (b *Block) HashOf() Hash { return sha256.Sum256(b.Encode()) }

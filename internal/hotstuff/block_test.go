@@ -52,14 +52,20 @@ func TestBlockRoundTripQuick(t *testing.T) {
 }
 
 func TestDecodeGarbage(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		{1, 2, 3},
-		bytes.Repeat([]byte{0xff}, 48), // absurd command count
+	valid := (&Block{View: 1, Parent: GenesisHash, Cmds: []Command{{ID: 9, Payload: []byte("SET abc")}}}).Encode()
+	cases := map[string][]byte{
+		"nil":                   nil,
+		"short":                 {1, 2, 3},
+		"absurd command count":  bytes.Repeat([]byte{0xff}, 48),
+		"truncated parent":      valid[:20],
+		"truncated payload":     valid[:len(valid)-3],
+		"count exceeds input":   valid[:48],
+		"trailing bytes":        append(append([]byte(nil), valid...), 0, 0, 0),
+		"trailing after header": append((&Block{View: 1}).Encode(), 0),
 	}
-	for i, c := range cases {
+	for name, c := range cases {
 		if _, err := DecodeBlock(c); err == nil {
-			t.Errorf("case %d: garbage decoded", i)
+			t.Errorf("%s: garbage decoded", name)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package hotstuff
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"sort"
 
 	"lumiere/internal/clock"
@@ -84,7 +85,12 @@ type Core struct {
 	votes    quorum.VoteSet
 	done     bool
 
+	// mempool holds commands in arrival order. It deletes lazily:
+	// inPool is the only record of which entries are live, poolHead
+	// skips the dead prefix, and compactPool squeezes the dead out once
+	// they outnumber the live.
 	mempool       []Command
+	poolHead      int
 	inPool        map[uint64]bool
 	applied       map[uint64]bool
 	committed     []Hash
@@ -173,7 +179,7 @@ func (c *Core) HighView() types.View { return c.highQC.V }
 func (c *Core) HighQC() *msg.QC { return c.highQC }
 
 // MempoolLen returns the number of pending commands.
-func (c *Core) MempoolLen() int { return len(c.mempool) }
+func (c *Core) MempoolLen() int { return len(c.inPool) }
 
 // EnterView implements pacemaker.Driver.
 func (c *Core) EnterView(v types.View) {
@@ -197,18 +203,15 @@ func (c *Core) LeaderStart(v types.View, qcDeadline types.Time) {
 	c.deadline = qcDeadline
 	c.votes.Reset(c.cfg.Base.N)
 	c.done = false
-	batch := c.mempool
-	if len(batch) > c.cfg.batch() {
-		batch = batch[:c.cfg.batch()]
-	}
-	block := &Block{View: v, Parent: c.highQC.BlockHash, Cmds: append([]Command(nil), batch...)}
-	hash := block.HashOf()
+	block := &Block{View: v, Parent: c.highQC.BlockHash, Cmds: c.nextBatch()}
+	enc := block.Encode()
+	hash := sha256.Sum256(enc)
 	c.blocks[hash] = block
 	c.ep.Broadcast(&msg.Proposal{
 		V:       v,
 		Leader:  c.id,
 		Justify: c.highQC,
-		Block:   block.Encode(),
+		Block:   enc,
 		Hash:    hash,
 	})
 }
@@ -274,7 +277,7 @@ func (c *Core) handleBlockResp(m *msg.BlockResp) {
 		return
 	}
 	b, err := DecodeBlock(m.Block)
-	if err != nil || b.View != m.Cert.V || b.HashOf() != m.Cert.BlockHash {
+	if err != nil || b.View != m.Cert.V || sha256.Sum256(m.Block) != m.Cert.BlockHash {
 		return
 	}
 	if _, known := c.blocks[m.Cert.BlockHash]; known {
@@ -293,8 +296,10 @@ func (c *Core) handleProposal(from types.NodeID, p *msg.Proposal) {
 	if p.Leader != from || c.leader(p.V) != from {
 		return
 	}
+	// DecodeBlock is strict, so a block that decodes hashes to
+	// sha256 of its encoding: no re-encode is needed to check p.Hash.
 	block, err := DecodeBlock(p.Block)
-	if err != nil || block.View != p.V || block.HashOf() != p.Hash {
+	if err != nil || block.View != p.V || sha256.Sum256(p.Block) != p.Hash {
 		return
 	}
 	if p.Justify == nil || block.Parent != p.Justify.BlockHash {
@@ -415,7 +420,7 @@ func (c *Core) observeQC(qc *msg.QC) {
 		if pqc, ok := c.qcByHash[b2.Parent]; ok && pqc.V > c.lockedQC.V {
 			c.lockedQC = pqc
 		}
-		c.tryCommit(b2)
+		c.tryCommit(qc.BlockHash, b2)
 	}
 	if c.onQC != nil && qc.V >= 0 {
 		c.onQC(qc)
@@ -427,14 +432,16 @@ func (c *Core) observeQC(qc *msg.QC) {
 // (three-chain for classic chained HotStuff, two-chain for the HotStuff-2
 // style variant). If the rule walk hits a block not yet received, the
 // check is deferred until it arrives; if the rule fails definitively
-// (non-consecutive views), the head can never trigger a commit.
-func (c *Core) tryCommit(head *Block) {
-	tail := head
+// (non-consecutive views), the head can never trigger a commit. headHash
+// is the key head was found under; each parent's hash is its child's
+// Parent, so no block is re-hashed.
+func (c *Core) tryCommit(headHash Hash, head *Block) {
+	tailHash, tail := headHash, head
 	for i := 1; i < c.cfg.chainLen(); i++ {
 		parent, ok := c.blocks[tail.Parent]
 		if !ok {
 			if head.View > c.lastExec {
-				c.pendingCommit[head.HashOf()] = head
+				c.pendingCommit[headHash] = head
 				c.requestBlock(tail.Parent)
 			}
 			return
@@ -442,47 +449,46 @@ func (c *Core) tryCommit(head *Block) {
 		if parent.View < 0 || parent.View+1 != tail.View {
 			return
 		}
-		tail = parent
+		tailHash, tail = tail.Parent, parent
 	}
-	delete(c.pendingCommit, head.HashOf())
+	delete(c.pendingCommit, headHash)
 	if tail.View <= c.lastExec {
 		return
 	}
-	c.execChain(tail)
+	c.execChain(tailHash, tail)
 }
 
 // execChain commits b0 and any uncommitted ancestors, oldest first. If an
 // ancestor is not locally known yet (its proposal is still in flight),
 // execution is deferred rather than committing a gapped chain; the
-// arrival of any new block retries (retryPending).
-func (c *Core) execChain(b0 *Block) {
-	var chain []*Block
-	cur := b0
-	for cur != nil && cur.View > c.lastExec {
+// arrival of any new block retries (retryPending). h0 is b0's hash.
+func (c *Core) execChain(h0 Hash, b0 *Block) {
+	var chain []hashedBlock
+	cur := hashedBlock{h0, b0}
+	for cur.b.View > c.lastExec {
 		chain = append(chain, cur)
-		next, ok := c.blocks[cur.Parent]
+		next, ok := c.blocks[cur.b.Parent]
 		if !ok {
-			c.pendingExec[b0.HashOf()] = b0
-			c.requestBlock(cur.Parent)
+			c.pendingExec[h0] = b0
+			c.requestBlock(cur.b.Parent)
 			return
 		}
-		cur = next
+		cur = hashedBlock{cur.b.Parent, next}
 	}
-	delete(c.pendingExec, b0.HashOf())
+	delete(c.pendingExec, h0)
 	for i := len(chain) - 1; i >= 0; i-- {
-		b := chain[i]
+		b := chain[i].b
 		if b.View < 0 {
 			continue
 		}
 		c.lastExec = b.View
-		c.committed = append(c.committed, b.HashOf())
+		c.committed = append(c.committed, chain[i].h)
 		for _, cmd := range b.Cmds {
 			if c.applied[cmd.ID] {
 				continue
 			}
 			c.applied[cmd.ID] = true
-			delete(c.inPool, cmd.ID)
-			c.removeFromPool(cmd.ID)
+			c.dropFromPool(cmd.ID)
 			if c.sm != nil {
 				// Execution errors (e.g. insufficient funds)
 				// are results, not failures: state machines
@@ -503,14 +509,14 @@ func (c *Core) execChain(b0 *Block) {
 // is sent before or after lastExec advances would fork the run's RNG
 // stream — the same seed would produce different tables run to run.
 func (c *Core) retryPending() {
-	for _, b := range sortedPending(c.pendingCommit) {
-		if b.View > c.lastExec {
-			c.tryCommit(b)
+	for _, e := range sortedPending(c.pendingCommit) {
+		if e.b.View > c.lastExec {
+			c.tryCommit(e.h, e.b)
 		}
 	}
-	for _, b := range sortedPending(c.pendingExec) {
-		if b.View > c.lastExec {
-			c.execChain(b)
+	for _, e := range sortedPending(c.pendingExec) {
+		if e.b.View > c.lastExec {
+			c.execChain(e.h, e.b)
 		}
 	}
 	for h, b := range c.pendingCommit {
@@ -525,19 +531,21 @@ func (c *Core) retryPending() {
 	}
 }
 
+// hashedBlock is a block with the hash it is stored under.
+type hashedBlock struct {
+	h Hash
+	b *Block
+}
+
 // sortedPending snapshots a pending-block map in (view, hash) order so
 // retry processing is independent of map iteration order.
-func sortedPending(m map[Hash]*Block) []*Block {
+func sortedPending(m map[Hash]*Block) []hashedBlock {
 	if len(m) == 0 {
 		return nil
 	}
-	type entry struct {
-		h Hash
-		b *Block
-	}
-	es := make([]entry, 0, len(m))
+	es := make([]hashedBlock, 0, len(m))
 	for h, b := range m {
-		es = append(es, entry{h, b})
+		es = append(es, hashedBlock{h, b})
 	}
 	sort.Slice(es, func(i, j int) bool {
 		if es[i].b.View != es[j].b.View {
@@ -545,20 +553,56 @@ func sortedPending(m map[Hash]*Block) []*Block {
 		}
 		return bytes.Compare(es[i].h[:], es[j].h[:]) < 0
 	})
-	out := make([]*Block, len(es))
-	for i, e := range es {
-		out[i] = e.b
-	}
-	return out
+	return es
 }
 
-func (c *Core) removeFromPool(id uint64) {
-	for i, cmd := range c.mempool {
-		if cmd.ID == id {
-			c.mempool = append(c.mempool[:i], c.mempool[i+1:]...)
-			return
+// nextBatch copies the first BatchSize live mempool entries, in arrival
+// order, into a new block's command list.
+func (c *Core) nextBatch() []Command {
+	n := min(c.cfg.batch(), len(c.inPool))
+	if n == 0 {
+		return nil
+	}
+	batch := make([]Command, 0, n)
+	for _, cmd := range c.mempool[c.poolHead:] {
+		if c.inPool[cmd.ID] {
+			batch = append(batch, cmd)
+			if len(batch) == n {
+				break
+			}
 		}
 	}
+	return batch
+}
+
+// dropFromPool retires an applied command from the mempool in amortized
+// O(1): its entry goes dead where it stands, the head skips a dead
+// prefix, and compaction runs once dead entries outnumber live ones, so
+// each compaction's O(entries) is paid for by the removals since the
+// last. Liveness is read from inPool alone, so a command that was never
+// in the local pool changes nothing.
+func (c *Core) dropFromPool(id uint64) {
+	delete(c.inPool, id)
+	for c.poolHead < len(c.mempool) && !c.inPool[c.mempool[c.poolHead].ID] {
+		c.mempool[c.poolHead] = Command{}
+		c.poolHead++
+	}
+	if dead := len(c.mempool) - c.poolHead - len(c.inPool); dead > len(c.inPool) {
+		c.compactPool()
+	}
+}
+
+// compactPool moves the live entries to the front, in order, and clears
+// the vacated slots so removed payloads are not kept reachable.
+func (c *Core) compactPool() {
+	live := c.mempool[:0]
+	for _, cmd := range c.mempool[c.poolHead:] {
+		if c.inPool[cmd.ID] {
+			live = append(live, cmd)
+		}
+	}
+	clear(c.mempool[len(live):])
+	c.mempool, c.poolHead = live, 0
 }
 
 // pruneBelow bounds per-view bookkeeping; block/QC maps retain recent
